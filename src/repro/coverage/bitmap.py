@@ -36,9 +36,17 @@ def classify_count(count):
     return 128
 
 
+# ``classify_count`` of every count below 128, the counts executions produce.
+_CLASS_TABLE = bytes(classify_count(count) for count in range(128))
+
+
 def classify_hits(hits):
     """Classify a raw ``hits`` dict into {index: bucket_bit}."""
-    return {idx: classify_count(count) for idx, count in hits.items()}
+    table = _CLASS_TABLE
+    return {
+        idx: table[count] if 0 <= count < 128 else classify_count(count)
+        for idx, count in hits.items()
+    }
 
 
 class VirginMap:

@@ -13,14 +13,15 @@ _WIDTHS = (1, 2, 4, 8)
 
 
 def _encodings(value):
-    """All byte encodings of an integer operand worth searching for."""
+    """``(big, little)`` byte encodings of an integer operand, one per width.
+
+    A width's two byte orders coincide for one-byte and palindromic values;
+    the caller then searches for (and patches in) only one of them.
+    """
     result = []
     for width in _WIDTHS:
         masked = value & ((1 << (8 * width)) - 1)
-        for order in ("big", "little"):
-            encoded = masked.to_bytes(width, order)
-            if encoded not in result:
-                result.append(encoded)
+        result.append((masked.to_bytes(width, "big"), masked.to_bytes(width, "little")))
     return result
 
 
@@ -49,7 +50,22 @@ def candidates_from_log(data, cmp_log, max_candidates=64):
     """
     seen = set()
     seen_pairs = set()
+    encodings = {}  # operand -> _encodings(operand), computed once per operand
     out = []
+
+    def add(pattern, replacements, cap):
+        # False once the cap is reached: derivation stops there.
+        if pattern not in data:
+            return True
+        for replacement in replacements:
+            for cand in _substitutions(data, pattern, replacement, cap):
+                if cand not in seen and cand != data:
+                    seen.add(cand)
+                    out.append(cand)
+                    if len(out) >= max_candidates:
+                        return False
+        return True
+
     for a, b in cmp_log:
         if len(out) >= max_candidates:
             break
@@ -64,23 +80,21 @@ def candidates_from_log(data, cmp_log, max_candidates=64):
                 continue
             seen_pairs.add(key)
         if isinstance(a, bytes):
-            pairs = [(a, b), (b, a)]
-            for pattern, replacement in pairs:
-                for cand in _substitutions(data, pattern, replacement, 4):
-                    if cand not in seen and cand != data:
-                        seen.add(cand)
-                        out.append(cand)
-        else:
-            if a == b:
-                continue
-            for pattern, replacement_value in ((a, b), (b, a)):
-                for encoded in _encodings(pattern):
-                    width = len(encoded)
-                    masked = replacement_value & ((1 << (8 * width)) - 1)
-                    for order in ("big", "little"):
-                        repl = masked.to_bytes(width, order)
-                        for cand in _substitutions(data, encoded, repl, 2):
-                            if cand not in seen and cand != data:
-                                seen.add(cand)
-                                out.append(cand)
-    return out[:max_candidates]
+            if not (add(a, (b,), 4) and add(b, (a,), 4)):
+                return out
+        elif a != b:
+            for value in (a, b):
+                if value not in encodings:
+                    encodings[value] = _encodings(value)
+            # Patching in the second byte order of a width whose two orders
+            # coincide would only re-derive candidates already seen.
+            for pattern, replacement in ((a, b), (b, a)):
+                for (big, little), (rep_big, rep_little) in zip(
+                    encodings[pattern], encodings[replacement]
+                ):
+                    repls = (rep_big,) if rep_big == rep_little else (rep_big, rep_little)
+                    if not add(big, repls, 2):
+                        return out
+                    if little != big and not add(little, repls, 2):
+                        return out
+    return out

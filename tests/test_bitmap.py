@@ -83,3 +83,13 @@ def test_probe_after_merge_never_new(hits):
     classified = classify_hits(hits)
     virgin.merge(classified)
     assert virgin.probe(classified) == (False, False)
+
+
+def test_classify_table_matches_classify_count():
+    """The lookup table path and the fallback agree on every count."""
+    from repro.coverage.bitmap import _CLASS_TABLE
+
+    for count in range(-1, 1025):
+        if 0 <= count < len(_CLASS_TABLE):
+            assert _CLASS_TABLE[count] == classify_count(count), count
+        assert classify_hits({0: count}) == {0: classify_count(count)}, count

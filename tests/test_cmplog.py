@@ -89,3 +89,102 @@ def test_end_to_end_solves_magic():
     logged = execute(program, seed, cmplog=True)
     candidates = candidates_from_log(seed, logged.cmp_log)
     assert any(execute(program, c).retval == 1 for c in candidates)
+
+
+# -- the derivation as it was before it skipped wasted work: the oracle ------
+
+_WIDTHS = (1, 2, 4, 8)
+
+
+def _encodings_reference(value):
+    result = []
+    for width in _WIDTHS:
+        masked = value & ((1 << (8 * width)) - 1)
+        for order in ("big", "little"):
+            encoded = masked.to_bytes(width, order)
+            if encoded not in result:
+                result.append(encoded)
+    return result
+
+
+def _substitutions_reference(data, pattern, replacement, cap):
+    if not pattern or len(pattern) != len(replacement):
+        return []
+    out = []
+    start = 0
+    while len(out) < cap:
+        pos = data.find(pattern, start)
+        if pos < 0:
+            break
+        out.append(data[:pos] + replacement + data[pos + len(pattern) :])
+        start = pos + 1
+    return out
+
+
+def candidates_from_log_reference(data, cmp_log, max_candidates=64):
+    seen = set()
+    seen_pairs = set()
+    out = []
+    for a, b in cmp_log:
+        if len(out) >= max_candidates:
+            break
+        if isinstance(a, (int, bytes)) and type(a) is type(b):
+            key = (a, b) if a <= b else (b, a)
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+        if isinstance(a, bytes):
+            pairs = [(a, b), (b, a)]
+            for pattern, replacement in pairs:
+                for cand in _substitutions_reference(data, pattern, replacement, 4):
+                    if cand not in seen and cand != data:
+                        seen.add(cand)
+                        out.append(cand)
+        else:
+            if a == b:
+                continue
+            for pattern, replacement_value in ((a, b), (b, a)):
+                for encoded in _encodings_reference(pattern):
+                    width = len(encoded)
+                    masked = replacement_value & ((1 << (8 * width)) - 1)
+                    for order in ("big", "little"):
+                        repl = masked.to_bytes(width, order)
+                        for cand in _substitutions_reference(data, encoded, repl, 2):
+                            if cand not in seen and cand != data:
+                                seen.add(cand)
+                                out.append(cand)
+    return out[:max_candidates]
+
+
+def test_candidates_match_reference_on_every_subject_seed():
+    """Same list, same order, at every cap, on every subject's seed logs."""
+    from repro.runtime import execute
+    from repro.subjects import SUITE_NAMES, get_subject
+
+    checked = 0
+    for name in SUITE_NAMES:
+        subject = get_subject(name)
+        for seed in subject.seeds:
+            log = execute(
+                subject.program,
+                seed,
+                cmplog=True,
+                instr_budget=subject.exec_instr_budget,
+                call_depth_limit=subject.call_depth_limit,
+            ).cmp_log
+            for cap in (0, 1, 7, 64, 10_000):
+                want = candidates_from_log_reference(seed, log, cap)
+                assert candidates_from_log(seed, log, cap) == want, (name, seed, cap)
+                checked += bool(want)
+    assert checked > 0
+
+
+def test_candidates_match_reference_on_palindromes_and_widths():
+    """Byte orders that coincide, and operands of every width."""
+    data = bytes([0, 0, 5, 0, 0, 0, 5, 0xFF, 0xFF, 0x01, 0x02, 0x02, 0x01]) * 2
+    log = [(0, 7), (5, 0x0500), (0xFFFF, 3), (0x01020201, 0x0A0B0B0A), (-1, 2),
+           (1 << 40, 9), (b"\x00\x00", b"\x05\x05"), (b"", b""), (b"ab", b"xyz")]
+    for cap in (0, 3, 64):
+        assert candidates_from_log(data, log, cap) == candidates_from_log_reference(
+            data, log, cap
+        )

@@ -1,4 +1,9 @@
-"""Mutation-operator tests."""
+"""Mutation-operator tests.
+
+The single operators live in ``tests/havoc_reference.py``, the op-by-op form
+of havoc that ``repro.fuzzer.mutators.havoc`` inlines (see
+``tests/test_havoc_identity.py``).
+"""
 
 import random
 
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzzer import mutators
+from tests import havoc_reference as reference
 
 
 def rng(seed=0):
@@ -14,43 +20,43 @@ def rng(seed=0):
 
 def test_flip_bit_changes_exactly_one_bit():
     data = bytearray(b"\x00" * 8)
-    mutators.flip_bit(rng(), data, 64)
+    reference.flip_bit(rng(), data, 64)
     assert sum(bin(b).count("1") for b in data) == 1
 
 
 def test_delete_block_shrinks():
     data = bytearray(b"abcdefgh")
-    assert mutators.delete_block(rng(), data, 64)
+    assert reference.delete_block(rng(), data, 64)
     assert 0 < len(data) < 8
 
 
 def test_clone_block_grows_within_limit():
     data = bytearray(b"abcd")
-    assert mutators.clone_block(rng(), data, 6)
+    assert reference.clone_block(rng(), data, 6)
     assert 4 < len(data) <= 6
 
 
 def test_clone_block_refuses_at_max():
     data = bytearray(b"abcd")
-    assert not mutators.clone_block(rng(), data, 4)
+    assert not reference.clone_block(rng(), data, 4)
 
 
 def test_token_overwrite_places_token():
     data = bytearray(b"\x00" * 8)
-    assert mutators.overwrite_token(rng(), data, 64, [b"MAGI"])
+    assert reference.overwrite_token(rng(), data, 64, [b"MAGI"])
     assert b"MAGI" in bytes(data)
 
 
 def test_token_insert_respects_max_len():
     data = bytearray(b"\x00" * 8)
-    assert not mutators.insert_token(rng(), data, 8, [b"MAGI"])
+    assert not reference.insert_token(rng(), data, 8, [b"MAGI"])
 
 
 def test_empty_input_operators_refuse():
     data = bytearray()
-    assert not mutators.flip_bit(rng(), data, 8)
-    assert not mutators.set_random_byte(rng(), data, 8)
-    assert not mutators.delete_block(rng(), data, 8)
+    assert not reference.flip_bit(rng(), data, 8)
+    assert not reference.set_random_byte(rng(), data, 8)
+    assert not reference.delete_block(rng(), data, 8)
 
 
 def test_havoc_never_returns_empty():
