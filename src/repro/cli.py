@@ -659,7 +659,7 @@ def cmd_fuzz(args):
 
 
 def cmd_cmin(args):
-    from repro.fuzzer.cmin import coverage_of, minimize_corpus
+    from repro.fuzzer.cmin import corpus_traces, coverage_of, cover_from_traces
     from repro.fuzzer.store import artifact_name, atomic_write_bytes, content_hash
 
     subject = get_subject(args.subject)
@@ -692,16 +692,17 @@ def cmd_cmin(args):
         )
     feedback = spec.feedback_factory()
     budget = subject.exec_instr_budget
-    kept = minimize_corpus(
+    traces = corpus_traces(
         subject.program, inputs, feedback=feedback, instr_budget=budget
     )
+    kept = cover_from_traces(inputs, traces)
     os.makedirs(args.output_dir, exist_ok=True)
     for seq, data in enumerate(kept):
         atomic_write_bytes(
             os.path.join(args.output_dir, artifact_name(seq, content_hash(data))),
             data,
         )
-    before = coverage_of(subject.program, inputs, feedback=feedback, instr_budget=budget)
+    before = set().union(*traces)
     after = coverage_of(subject.program, kept, feedback=feedback, instr_budget=budget)
     print("minimized %d unique inputs -> %d (%s coverage: %d -> %d indices)"
           % (len(inputs), len(kept), args.config, len(before), len(after)))

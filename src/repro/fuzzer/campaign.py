@@ -9,7 +9,10 @@ separate pcguard-instrumented binary, exactly as the paper does with
 """
 
 from repro.coverage.feedback import EdgeFeedback
-from repro.runtime.interpreter import execute
+from repro.runtime.backend import make_backend
+
+# Unused here; campaignbench/tracing.py patches this module's ``execute``.
+from repro.runtime.interpreter import execute  # noqa: F401
 
 
 class CrashInfo:
@@ -176,17 +179,20 @@ class CampaignResult:
         )
 
 
-def replay_edge_coverage(program, inputs, instr_budget=200_000):
+def replay_edge_coverage(program, inputs, instr_budget=200_000, backend=None):
     """Union of edge-map indices covered by ``inputs`` (afl-showmap analogue).
 
     The replay always uses :class:`EdgeFeedback`, independent of the
     feedback the campaign fuzzed with — the paper's Table IV methodology.
+    It runs on ``backend`` (the campaign's), else ``REPRO_BACKEND``; every
+    backend records the same maps.  Crashing and timed-out inputs count
+    too: probes are never pruned here, so their maps are complete.
     """
     instrumentation = EdgeFeedback().instrument(program)
+    run = make_backend(program, instrumentation, backend).execute
     covered = set()
     for data in inputs:
-        result = execute(program, data, instrumentation, instr_budget=instr_budget)
-        covered.update(result.hits)
+        covered.update(run(data, instr_budget=instr_budget).hits)
     return covered
 
 
@@ -242,7 +248,11 @@ def result_from_engines(subject, config_name, run_seed, engines, final_engine):
         ticks += phase_ticks
     records = list(merged.values())
     bugs = {record.bug_id() for record in records}
-    edges = replay_edge_coverage(subject.program, final_engine.corpus_inputs())
+    edges = replay_edge_coverage(
+        subject.program,
+        final_engine.corpus_inputs(),
+        backend=final_engine.backend.name,
+    )
     from repro.fuzzer.clock import TICKS_PER_HOUR
     from repro.telemetry.plateau import default_window, detect_plateaus
 

@@ -9,27 +9,36 @@ testable here too (see the culling ablation tests).
 """
 
 from repro.coverage.feedback import EdgeFeedback
-from repro.runtime.interpreter import execute
+from repro.runtime.backend import make_backend
 
 
-def minimize_corpus(program, inputs, feedback=None, instr_budget=60_000):
-    """Select a subset of ``inputs`` preserving their combined coverage.
+def corpus_traces(program, inputs, feedback=None, instr_budget=60_000, backend=None):
+    """Each input's coverage-index set under ``feedback``, in input order.
 
-    Mirrors afl-cmin: (1) trace every input; (2) for each coverage index
-    keep the smallest input touching it; (3) walk indices from rarest to
-    most common, greedily keeping each index's champion until everything is
-    covered.  Returns the selected inputs in their original order.
+    One backend replays them all: ``backend`` (culling passes its
+    campaign's), else ``REPRO_BACKEND``.  Crashing and timed-out inputs
+    trace as empty.
     """
-    feedback = feedback or EdgeFeedback()
-    instrumentation = feedback.instrument(program)
+    instrumentation = (feedback or EdgeFeedback()).instrument(program)
+    run = make_backend(program, instrumentation, backend).execute
     traces = []
     for data in inputs:
-        result = execute(program, data, instrumentation, instr_budget=instr_budget)
+        result = run(data, instr_budget=instr_budget)
         if result.crashed or result.timeout:
             traces.append(frozenset())
         else:
             traces.append(frozenset(result.hits))
+    return traces
 
+
+def cover_from_traces(inputs, traces):
+    """afl-cmin's selection over already-traced ``inputs``.
+
+    (1) for each coverage index keep the smallest input touching it;
+    (2) walk indices from rarest to most common, greedily keeping each
+    index's champion until everything is covered.  Returns the selected
+    inputs in their original order.
+    """
     index_owners = {}
     for position, trace in enumerate(traces):
         for idx in trace:
@@ -53,13 +62,16 @@ def minimize_corpus(program, inputs, feedback=None, instr_budget=60_000):
     return [inputs[p] for p in sorted(chosen)]
 
 
+def minimize_corpus(program, inputs, feedback=None, instr_budget=60_000):
+    """Select a subset of ``inputs`` preserving their combined coverage.
+
+    Mirrors afl-cmin: trace every input, then :func:`cover_from_traces`.
+    """
+    return cover_from_traces(
+        inputs, corpus_traces(program, inputs, feedback, instr_budget)
+    )
+
+
 def coverage_of(program, inputs, feedback=None, instr_budget=60_000):
     """Combined coverage-index set of ``inputs`` under ``feedback``."""
-    feedback = feedback or EdgeFeedback()
-    instrumentation = feedback.instrument(program)
-    covered = set()
-    for data in inputs:
-        result = execute(program, data, instrumentation, instr_budget=instr_budget)
-        if not (result.crashed or result.timeout):
-            covered.update(result.hits)
-    return covered
+    return set().union(*corpus_traces(program, inputs, feedback, instr_budget))

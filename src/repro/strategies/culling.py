@@ -18,9 +18,8 @@ Culling criteria:
 - ``random`` — keep a random 2-16% of the queue (Appendix D's cull_r).
 """
 
-from repro.coverage.feedback import EdgeFeedback
+from repro.fuzzer.cmin import corpus_traces
 from repro.fuzzer.engine import FuzzEngine
-from repro.runtime.interpreter import execute
 
 # Virtual ticks charged per queue entry examined by a culling pass (replay
 # plus set-cover bookkeeping); mirrors the paper accounting culling costs
@@ -28,20 +27,17 @@ from repro.runtime.interpreter import execute
 CULL_COST_PER_ENTRY = 40
 
 
-def edge_preserving_subset(program, inputs, instr_budget=60_000):
+def edge_preserving_subset(program, inputs, instr_budget=60_000, backend=None):
     """Greedy set cover over an edge-instrumented replay of ``inputs``.
 
     Returns the selected inputs (order preserved).  This is the favored-
-    corpus construction the paper uses instead of ``afl-cmin``.
+    corpus construction the paper uses instead of ``afl-cmin``.  The replay
+    runs on ``backend`` (default ``REPRO_BACKEND``); crashing and timed-out
+    inputs cover nothing.
     """
-    instrumentation = EdgeFeedback().instrument(program)
-    traces = []
-    for data in inputs:
-        result = execute(program, data, instrumentation, instr_budget=instr_budget)
-        if result.crashed or result.timeout:
-            traces.append(frozenset())
-            continue
-        traces.append(frozenset(result.hits))
+    traces = corpus_traces(
+        program, inputs, instr_budget=instr_budget, backend=backend
+    )
     # Champion per edge: cheapest (cost x len) input covering it.
     champion = {}
     for position, (data, trace) in enumerate(zip(inputs, traces)):
@@ -111,7 +107,9 @@ def run_culling_campaign(
         cull_cost = CULL_COST_PER_ENTRY * len(inputs)
         remaining -= cull_cost
         if criterion == "edges":
-            seeds = edge_preserving_subset(program, inputs, config.exec_instr_budget)
+            seeds = edge_preserving_subset(
+                program, inputs, config.exec_instr_budget, backend=config.backend
+            )
         elif criterion == "paths":
             seeds = path_preserving_subset(engine)
         elif criterion == "random":

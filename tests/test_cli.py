@@ -126,6 +126,42 @@ def test_cmin_minimizes_store_queue(tmp_path, capsys, monkeypatch):
         with open(os.path.join(minimized, name), "rb") as handle:
             assert content_hash(handle.read()) == digest
 
+    # The printed coverage is each corpus's full replay, although cmin
+    # takes "before" from its own trace pass instead of replaying again.
+    import re
+
+    from repro.fuzzer.cmin import coverage_of
+    from repro.subjects import get_subject
+
+    def corpus(directory, names):
+        unique = {}
+        for name in names:
+            with open(os.path.join(directory, name), "rb") as handle:
+                data = handle.read()
+            if data:
+                unique.setdefault(content_hash(data), data)
+        return list(unique.values())
+
+    queue_names = [
+        name for name in sorted(os.listdir(queue_dir))
+        if os.path.isfile(os.path.join(queue_dir, name))
+        and not name.endswith((".report.txt", ".triage.json", ".json"))
+        and ".tmp." not in name
+    ]
+    inputs = corpus(queue_dir, queue_names)
+    subject = get_subject("flvmeta")
+    budget = subject.exec_instr_budget
+    match = re.search(
+        r"minimized (\d+) unique inputs -> (\d+) \(pcguard coverage: "
+        r"(\d+) -> (\d+) indices\)", stdout)
+    assert match, stdout
+    assert [int(g) for g in match.groups()] == [
+        len(inputs),
+        len(kept),
+        len(coverage_of(subject.program, inputs, instr_budget=budget)),
+        len(coverage_of(subject.program, corpus(minimized, kept), instr_budget=budget)),
+    ]
+
 
 def test_cmin_rejects_missing_input_dir(tmp_path):
     with pytest.raises(SystemExit):
