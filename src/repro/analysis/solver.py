@@ -10,7 +10,8 @@ value — or forces some *prefix* constraint off its recorded direction —
 no assignment inside that subdomain can work, and the subtree dies
 without enumeration.  Pruning is sound because
 :func:`~repro.analysis.symbolic.interval_expr` over-approximates every
-non-trapping evaluation.
+non-trapping evaluation; the search runs its compiled form
+(:func:`~repro.analysis.symbolic.compile_interval`), built once per call.
 
 At fully-singleton leaves the candidate is checked *concretely* with
 :func:`~repro.analysis.symbolic.eval_expr` (VM-exact semantics, traps
@@ -24,13 +25,12 @@ so the first witness found tends to differ from the seed input in as few
 byte values as possible.
 """
 
-from repro.analysis.interval import Interval
 from repro.analysis.symbolic import (
     _BIN as _SYM_BIN,
     SymExpr,
+    compile_interval,
     eval_expr,
     expr_support,
-    interval_expr,
     match_byte_fold,
 )
 from repro.cfg.instructions import OP_EQ, OP_NE
@@ -134,17 +134,18 @@ def solve_flip(
         stats.gave_up = True
         return None, stats
     support_set = set(support)
-    active = [
-        c
-        for c in prefix_constraints
-        if c.index < constraint.index and c.support() & support_set
-    ]
+    active = []
     # Bytes a prefix constraint reads that we are *not* changing stay at
-    # their original values: fixed singleton domains for interval pruning.
+    # their original values: constants in the compiled interval checks.
     fixed = {}
-    for c in active:
-        for off in c.support() - support_set:
-            fixed[off] = Interval(data[off], data[off])
+    for c in prefix_constraints:
+        if c.index >= constraint.index:
+            continue
+        c_support = c.support()
+        if c_support & support_set:
+            active.append(c)
+            for off in c_support - support_set:
+                fixed[off] = (data[off], data[off])
 
     # Input-to-state shortcut: an equality between a pure byte-fold read
     # (read16/read32/input[i]) and a constant is solved by assigning the
@@ -155,20 +156,15 @@ def solve_flip(
         stats.solved = True
         return direct, stats
 
-    def byte_at_factory(domains):
-        def byte_at(off):
-            dom = domains.get(off)
-            return dom.lo if dom is not None else data[off]
-
-        return byte_at
-
-    def viable(expr, want, lookup):
-        iv = interval_expr(expr, lookup)
-        if want:
-            return not iv.is_zero()
-        return not iv.excludes_zero()
-
-    root = {off: Interval(0, 255) for off in support}
+    # A search node is a tuple of ``(lo, hi)`` domains, one per support
+    # byte in offset order; each check reads its bytes by that position.
+    # Prefix checks compile the first time a node reaches them: a search
+    # that ends early never pays for the long tail of a loop's path
+    # condition.
+    slots = {off: position for position, off in enumerate(support)}
+    target = compile_interval(constraint.expr, slots, fixed)
+    checks = []
+    root = ((0, 255),) * len(support)
     stack = [root]
     while stack:
         if stats.nodes >= node_budget:
@@ -176,49 +172,60 @@ def solve_flip(
             return None, stats
         stats.nodes += 1
         domains = stack.pop()
-        lookup = dict(fixed)
-        lookup.update(domains)
-        if not viable(constraint.expr, want_true, lookup):
+        if not _viable(target(domains), want_true):
             continue
         pruned = False
-        for c in active:
-            if not viable(c.expr, c.taken_true, lookup):
+        for position, c in enumerate(active):
+            if position == len(checks):
+                checks.append(compile_interval(c.expr, slots, fixed))
+            if not _viable(checks[position](domains), c.taken_true):
                 pruned = True
                 break
         if pruned:
             continue
         widest = None
         width = 0
-        for off in support:
-            dom = domains[off]
-            span = dom.hi - dom.lo
-            if span > width:
-                width = span
-                widest = off
+        for position, (lo, hi) in enumerate(domains):
+            if hi - lo > width:
+                width = hi - lo
+                widest = position
         if widest is None:
             # All domains are singletons: concrete VM-exact check.
             stats.evals += 1
-            byte_at = byte_at_factory(domains)
+            assignment = {off: dom[0] for off, dom in zip(support, domains)}
+
+            def byte_at(off):
+                value = assignment.get(off)
+                return value if value is not None else data[off]
+
             value = eval_expr(constraint.expr, byte_at)
             if value is None or (value != 0) != want_true:
                 continue
             if any(c.holds(byte_at) is not True for c in active):
                 continue
             stats.solved = True
-            return {off: domains[off].lo for off in support}, stats
-        dom = domains[widest]
-        mid = (dom.lo + dom.hi) // 2
-        low = Interval(dom.lo, mid)
-        high = Interval(mid + 1, dom.hi)
-        original = data[widest]
+            return assignment, stats
+        lo, hi = domains[widest]
+        mid = (lo + hi) // 2
+        low = (lo, mid)
+        high = (mid + 1, hi)
         # Stack is LIFO: push the preferred half (containing the original
         # byte value) last so it is explored first.
-        first, second = (low, high) if low.contains(original) else (high, low)
-        alt = dict(domains)
-        alt[widest] = second
-        stack.append(alt)
-        pref = dict(domains)
-        pref[widest] = first
-        stack.append(pref)
+        if lo <= data[support[widest]] <= mid:
+            first, second = low, high
+        else:
+            first, second = high, low
+        head = domains[:widest]
+        tail = domains[widest + 1 :]
+        stack.append(head + (second,) + tail)
+        stack.append(head + (first,) + tail)
     stats.gave_up = False
     return None, stats
+
+
+def _viable(interval, want):
+    """Can a value in ``interval`` have truthiness ``want``?"""
+    lo, hi = interval
+    if want:
+        return lo != 0 or hi != 0
+    return lo <= 0 <= hi

@@ -23,12 +23,15 @@ imprecise expression can waste solver effort but never corrupt results.
 Mixed concrete/symbolic evaluation reuses the shared folding semantics
 (:mod:`repro.analysis.foldops`), so :func:`eval_expr` agrees with the VM
 bit for bit on every non-trapping operation, and interval evaluation
-(:func:`interval_expr`) reuses :mod:`repro.analysis.interval` so the
-solver can prune whole byte-subdomains soundly.
+(:func:`compile_interval`, wrapped by :func:`interval_expr`) applies the
+:mod:`repro.analysis.interval` rules so the solver can prune whole
+byte-subdomains soundly.
 """
 
+from operator import itemgetter
+
 from repro.analysis.foldops import fold_binop, fold_unop
-from repro.analysis.interval import FULL, Interval, bin_interval, un_interval
+from repro.analysis.interval import INT_MAX, INT_MIN, Interval
 from repro.cfg.instructions import (
     BIN,
     BINOPS,
@@ -42,6 +45,7 @@ from repro.cfg.instructions import (
     MOV,
     OP_ADD,
     OP_AND,
+    OP_BNOT,
     OP_DIV,
     OP_EQ,
     OP_GE,
@@ -88,7 +92,7 @@ _BYTE = 0
 _BIN = 1
 _UN = 2
 
-_BYTE_RANGE = Interval(0, 255)
+_BYTE_RANGE = (0, 255)
 
 _BINOP_NAMES = {code: name for name, code in BINOPS.items()}
 _UNOP_NAMES = {code: name for name, code in UNOPS.items()}
@@ -196,14 +200,59 @@ def interval_expr(expr, domains):
     ``[0, 255]``; unmapped offsets default to the full byte range.  The
     result bounds every *non-trapping* evaluation of the expression with
     bytes drawn from the domains — the property the solver's subdomain
-    pruning relies on.
+    pruning relies on.  Every byte is fixed here, so the compiled check
+    folds to a constant.
     """
+    fixed = {off: (dom.lo, dom.hi) for off, dom in domains.items()}
+    lo, hi = compile_interval(expr, {}, fixed)(())
+    return Interval(lo, hi)
+
+
+# -- compiled interval checks ---------------------------------------------------
+#
+# The solver evaluates the same expressions at every node of its search, so
+# it compiles each one into a tree of closures over plain ``(lo, hi)`` int
+# tuples.  Each closure inlines the :mod:`repro.analysis.interval` rule for
+# its operator (no Interval allocation, no isinstance, no recursion at
+# evaluation time); tests/test_solver_identity.py pins every rule to
+# ``bin_interval`` / ``un_interval``.
+
+_FULL = (INT_MIN, INT_MAX)
+_TRUE = (1, 1)
+_FALSE = (0, 0)
+_BOOL = (0, 1)
+
+
+def compile_interval(expr, slots, fixed):
+    """Compile ``expr``'s interval into a closure ``check(doms) -> (lo, hi)``.
+
+    A byte leaf whose offset is in ``slots`` reads ``doms[slots[offset]]``,
+    a ``(lo, hi)`` domain within ``[0, 255]``; any other byte is the
+    constant ``fixed.get(offset, (0, 255))``.  Subtrees without a slot
+    leaf are folded to their interval once, here.
+    """
+    node = _compile(expr, slots, fixed)
+    return _const(node) if type(node) is tuple else node
+
+
+def _const(value):
+    return lambda doms: value
+
+
+def _compile(expr, slots, fixed):
+    """A closure over the domains, or a ``(lo, hi)`` tuple when constant."""
     if not isinstance(expr, SymExpr):
-        return Interval(expr, expr) if isinstance(expr, int) else FULL
+        return (expr, expr) if isinstance(expr, int) else _FULL
     if expr.kind == _BYTE:
-        return domains.get(expr.op, _BYTE_RANGE)
+        return _compile_byte(expr.op, slots, fixed)
     if expr.kind == _UN:
-        return un_interval(expr.op, interval_expr(expr.a, domains))
+        rule = _UN_RULES.get(expr.op)
+        if rule is None:
+            return _FULL
+        a = _compile(expr.a, slots, fixed)
+        if type(a) is tuple:
+            return rule(_const(a))(())
+        return rule(a)
     # The generic lattice is too coarse on the two shapes this shadow
     # interpreter itself builds: ``byte & 255`` (the AND rule drops the
     # lower bound to 0) and the read16/read32 accumulator (the OR rule
@@ -213,21 +262,305 @@ def interval_expr(expr, domains):
     if expr.op == OP_AND and expr.b == 255:
         inner = expr.a
         if isinstance(inner, SymExpr) and inner.kind == _BYTE:
-            return domains.get(inner.op, _BYTE_RANGE)
+            return _compile_byte(inner.op, slots, fixed)
     if expr.op == OP_OR:
         offsets = match_byte_fold(expr)
         if offsets is not None:
-            lo = hi = 0
-            for off in offsets:
-                dom = domains.get(off, _BYTE_RANGE)
-                lo = (lo << 8) + min(255, max(0, dom.lo))
-                hi = (hi << 8) + min(255, max(0, dom.hi))
-            return Interval(lo, hi)
-    return bin_interval(
-        expr.op,
-        interval_expr(expr.a, domains),
-        interval_expr(expr.b, domains),
-    )
+            return _compile_fold(offsets, slots, fixed)
+    a = _compile(expr.a, slots, fixed)
+    b = _compile(expr.b, slots, fixed)
+    if type(a) is tuple:
+        if type(b) is tuple:
+            return _BIN_RULES[expr.op](_const(a), _const(b))(())
+        return _BIN_RULES[expr.op](_const(a), b)
+    if type(b) is tuple:
+        return _BIN_RULES[expr.op](a, _const(b))
+    return _BIN_RULES[expr.op](a, b)
+
+
+def _compile_byte(offset, slots, fixed):
+    index = slots.get(offset)
+    if index is None:
+        return fixed.get(offset, _BYTE_RANGE)
+    return itemgetter(index)
+
+
+def _compile_fold(offsets, slots, fixed):
+    """``(acc << 8) | byte`` over byte windows: exact sum of shifted bounds."""
+    lo = hi = 0
+    parts = []
+    for position, off in enumerate(reversed(offsets)):
+        shift = 8 * position
+        index = slots.get(off)
+        if index is None:
+            dlo, dhi = fixed.get(off, _BYTE_RANGE)
+            lo += min(255, max(0, dlo)) << shift
+            hi += min(255, max(0, dhi)) << shift
+        else:
+            parts.append((index, shift))
+    if not parts:
+        return (lo, hi)
+    base_lo, base_hi = lo, hi
+
+    def fold(doms):
+        lo, hi = base_lo, base_hi
+        for index, shift in parts:
+            dlo, dhi = doms[index]
+            lo += dlo << shift
+            hi += dhi << shift
+        return lo, hi
+
+    return fold
+
+
+def _rule_add(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        lo = alo + blo
+        hi = ahi + bhi
+        if lo < INT_MIN or hi > INT_MAX:
+            return _FULL
+        return lo, hi
+
+    return node
+
+
+def _rule_sub(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        lo = alo - bhi
+        hi = ahi - blo
+        if lo < INT_MIN or hi > INT_MAX:
+            return _FULL
+        return lo, hi
+
+    return node
+
+
+def _rule_mul(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        lo = min(corners)
+        hi = max(corners)
+        if lo < INT_MIN or hi > INT_MAX:
+            return _FULL
+        return lo, hi
+
+    return node
+
+
+def _rule_div(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        m = max(abs(alo), abs(ahi))
+        if m > INT_MAX:
+            return _FULL
+        return -m, m
+
+    return node
+
+
+def _rule_mod(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        m = min(max(abs(alo), abs(ahi)), max(abs(blo), abs(bhi)) - 1)
+        if m < 0:
+            m = 0
+        elif m > INT_MAX:
+            m = INT_MAX
+        if alo >= 0:
+            return 0, m
+        if ahi <= 0:
+            return -m, 0
+        return -m, m
+
+    return node
+
+
+def _rule_and(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if alo >= 0:
+            if blo >= 0 and bhi < ahi:
+                return 0, bhi
+            return 0, ahi
+        if blo >= 0:
+            return 0, bhi
+        return _FULL
+
+    return node
+
+
+def _rule_or(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if alo < 0 or blo < 0:
+            return _FULL
+        bound = (1 << (ahi if ahi > bhi else bhi).bit_length()) - 1
+        if bound > INT_MAX:
+            return _FULL
+        return (alo if alo > blo else blo), bound
+
+    return node
+
+
+def _rule_xor(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if alo < 0 or blo < 0:
+            return _FULL
+        bound = (1 << (ahi if ahi > bhi else bhi).bit_length()) - 1
+        if bound > INT_MAX:
+            return _FULL
+        return 0, bound
+
+    return node
+
+
+def _rule_shl(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        # Non-trap continuation: shift amount in [0, 63].
+        slo = blo if blo > 0 else 0
+        shi = bhi if bhi < 63 else 63
+        if slo > shi or alo < 0:
+            return _FULL
+        hi = ahi << shi
+        if hi > INT_MAX:
+            return _FULL
+        return alo << slo, hi
+
+    return node
+
+
+def _rule_shr(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        slo = blo if blo > 0 else 0
+        shi = bhi if bhi < 63 else 63
+        if slo > shi:
+            return _FULL
+        # Monotone in each argument: the corner extrema, picked by sign.
+        return (
+            alo >> shi if alo >= 0 else alo >> slo,
+            ahi >> slo if ahi >= 0 else ahi >> shi,
+        )
+
+    return node
+
+
+def _rule_lt(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if ahi < blo:
+            return _TRUE
+        if alo >= bhi:
+            return _FALSE
+        return _BOOL
+
+    return node
+
+
+def _rule_le(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if ahi <= blo:
+            return _TRUE
+        if alo > bhi:
+            return _FALSE
+        return _BOOL
+
+    return node
+
+
+def _rule_eq(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if alo == ahi == blo == bhi:
+            return _TRUE
+        if alo > bhi or blo > ahi:
+            return _FALSE
+        return _BOOL
+
+    return node
+
+
+def _rule_ne(fa, fb):
+    def node(doms):
+        alo, ahi = fa(doms)
+        blo, bhi = fb(doms)
+        if alo == ahi == blo == bhi:
+            return _FALSE
+        if alo > bhi or blo > ahi:
+            return _TRUE
+        return _BOOL
+
+    return node
+
+
+def _rule_neg(fa):
+    def node(doms):
+        alo, ahi = fa(doms)
+        if alo == INT_MIN:  # -INT_MIN wraps back to INT_MIN
+            return _FULL
+        return -ahi, -alo
+
+    return node
+
+
+def _rule_lnot(fa):
+    def node(doms):
+        alo, ahi = fa(doms)
+        if alo == 0 and ahi == 0:
+            return _TRUE
+        if alo > 0 or ahi < 0:
+            return _FALSE
+        return _BOOL
+
+    return node
+
+
+def _rule_bnot(fa):
+    def node(doms):
+        alo, ahi = fa(doms)
+        return -ahi - 1, -alo - 1
+
+    return node
+
+
+_BIN_RULES = {
+    OP_ADD: _rule_add,
+    OP_SUB: _rule_sub,
+    OP_MUL: _rule_mul,
+    OP_DIV: _rule_div,
+    OP_MOD: _rule_mod,
+    OP_AND: _rule_and,
+    OP_OR: _rule_or,
+    OP_XOR: _rule_xor,
+    OP_SHL: _rule_shl,
+    OP_SHR: _rule_shr,
+    OP_LT: _rule_lt,
+    OP_LE: _rule_le,
+    OP_GT: lambda fa, fb: _rule_lt(fb, fa),
+    OP_GE: lambda fa, fb: _rule_le(fb, fa),
+    OP_EQ: _rule_eq,
+    OP_NE: _rule_ne,
+}
+
+_UN_RULES = {OP_NEG: _rule_neg, OP_LNOT: _rule_lnot, OP_BNOT: _rule_bnot}
 
 
 def match_byte_fold(expr):

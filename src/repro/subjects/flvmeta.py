@@ -99,6 +99,11 @@ def build():
     # Script tag declaring a 60-byte name into the 32-byte buffer.
     payload = b"\x02\x00\x3c" + b"N" * 60
     overflow = _header() + _tag(18, payload)
+    # Found by a concolic campaign: a name length that fits the buffer but
+    # runs past the end of the input.
+    name_cut = bytes.fromhex(
+        "464c56010500000009000000001200000ae2ff00000000000200126e646d6558595a0000120000"
+    )
     return Subject(
         name="flvmeta",
         source=SOURCE,
@@ -119,6 +124,14 @@ def build():
                 "script-data name copy trusts the encoded length",
                 overflow,
                 difficulty="medium",
+            ),
+            make_bug(
+                "parse_script_data",
+                16,
+                "heap-buffer-overflow-read",
+                "script-data name copy reads past the end of the input",
+                name_cut,
+                difficulty="shallow",
             ),
         ],
         tokens=TOKENS,

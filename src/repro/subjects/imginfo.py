@@ -91,6 +91,8 @@ TOKENS = [b"\xff\x4f", b"\xff\xd9", b"\xff\x51"]
 def build():
     many_comps = MAGIC + _siz(4, 4, 20, b"\x01" * 24)
     big_prec = MAGIC + _siz(4, 4, 1, b"\xc8" + b"\x00" * 10)
+    # Found by a path campaign: a SIZ segment cut short of its components.
+    siz_cut = bytes.fromhex("ff4fff51000e004000400100080808000000")
     return Subject(
         name="imginfo",
         source=SOURCE,
@@ -105,6 +107,11 @@ def build():
                 "parse_siz", 15, "shift-out-of-range",
                 "precision byte used directly as a shift amount",
                 big_prec, difficulty="medium",
+            ),
+            make_bug(
+                "parse_siz", 12, "heap-buffer-overflow-read",
+                "component loop reads past the end of a truncated SIZ",
+                siz_cut, difficulty="shallow",
             ),
         ],
         tokens=TOKENS,

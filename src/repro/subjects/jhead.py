@@ -116,6 +116,10 @@ def build():
     offset_read = SOI + _seg(0xE1, _exif(_entry(0x0202, 5000), 1)) + b"\xff\xd9\x00\x00"
     # SOF with height 60000, width 2 -> ratio 30000 -> index 29899 of 8.
     tall = SOI + _seg(0xC0, b"\x08\xea\x60\x00\x02\x01\x05\x00\x00") + b"\xff\xd9\x00\x00"
+    # Found by path and concolic campaigns: segments cut short of their
+    # declared length.
+    exif_cut = bytes.fromhex("ffd8ffe1001245")
+    sof_cut = bytes.fromhex("ffd8ffc000074a4649460004d90000")
     return Subject(
         name="jhead",
         source=SOURCE,
@@ -145,6 +149,16 @@ def build():
                 "main", 66, "heap-buffer-overflow-write",
                 "extreme aspect ratio indexes an 8-entry table",
                 tall, difficulty="medium",
+            ),
+            make_bug(
+                "parse_app1", 7, "heap-buffer-overflow-read",
+                "Exif signature compared past the end of a truncated APP1",
+                exif_cut, difficulty="shallow",
+            ),
+            make_bug(
+                "parse_sof", 41, "heap-buffer-overflow-read",
+                "component bytes read past the end of a truncated SOF",
+                sof_cut, difficulty="shallow",
             ),
         ],
         tokens=TOKENS,

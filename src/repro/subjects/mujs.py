@@ -143,6 +143,12 @@ def build():
     # "99+9+9+9+9+9+9+9+" builds 81; then "2 81 ^" -> but operands are
     # single digits.  "99+" = 18; chain +: 9*8=72 via "99+9+9+9+9+9+9+9+".
     shift = b"99+9+9+9+9+9+9+9+2s^;"
+    # Found by an opp campaign: more pending operands than stack slots.
+    deep_push = bytes.fromhex(
+        "f082cc802f1940600064ff00102f194000ff64fffa0000fa196421332a2264800064ff"
+        "0010f033e6977ae02ebd196420332a64ff0000102f02006421332a2264800064ff0010"
+        "5e33196420332a64ff0000102f020033196420332a3b6480000b7300ff585e6446"
+    )
     return Subject(
         name="mujs",
         source=SOURCE,
@@ -174,6 +180,11 @@ def build():
                 "eval_ops", 55, "shift-out-of-range",
                 "exponent operand used directly as a shift amount",
                 shift, difficulty="deep",
+            ),
+            make_bug(
+                "push", 2, "heap-buffer-overflow-write",
+                "push writes past the 16-slot operand stack",
+                deep_push, difficulty="medium",
             ),
         ],
         tokens=TOKENS,

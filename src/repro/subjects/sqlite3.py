@@ -150,6 +150,8 @@ def build():
     big_limit = b"LIMIT260"
     # JOIN whose first and third table letters coincide.
     self_join = b"JOINxyx"
+    # Found by a path campaign: a JOIN at the very end of the input.
+    join_at_end = bytes.fromhex("0002494e53455254e801d83b4a4f494e")
     return Subject(
         name="sqlite3",
         source=SOURCE,
@@ -170,6 +172,11 @@ def build():
                 "parse_join", 78, "division-by-zero",
                 "self-joins divide by the table-letter difference",
                 self_join, difficulty="medium",
+            ),
+            make_bug(
+                "parse_join", 72, "heap-buffer-overflow-read",
+                "first table letter read before the bounds check",
+                join_at_end, difficulty="shallow",
             ),
         ],
         tokens=TOKENS,
