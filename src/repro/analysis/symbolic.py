@@ -1,10 +1,10 @@
 """Concolic path-condition extraction: replay one input, collect constraints.
 
-:class:`ConcolicExec` subclasses the VM's ``_Exec`` (the same structural
-pattern as :class:`repro.taint.track.TaintExec`) and re-runs the
-interpreter loop with a *symbolic shadow register file*: each register
-optionally carries a :class:`SymExpr` describing its concrete value as a
-function of individual input bytes.  Every conditional branch whose
+:class:`ConcolicExec` is the symbolic domain of the shared shadow loop
+(:class:`repro.runtime.shadow.ShadowExec`, which also runs
+:class:`repro.taint.track.TaintExec`): each shadow register optionally
+carries a :class:`SymExpr` describing its concrete value as a function of
+individual input bytes.  Every conditional branch whose
 condition register carries an expression contributes a
 :class:`Constraint` — the expression plus the direction the concrete run
 took — and the ordered list of constraints is the run's *path
@@ -33,16 +33,7 @@ from operator import itemgetter
 from repro.analysis.foldops import fold_binop, fold_unop
 from repro.analysis.interval import INT_MAX, INT_MIN, Interval
 from repro.cfg.instructions import (
-    BIN,
     BINOPS,
-    BR,
-    BUILTIN,
-    CALL,
-    COMPARISON_OPS,
-    CONST,
-    JMP,
-    LOAD,
-    MOV,
     OP_ADD,
     OP_AND,
     OP_BNOT,
@@ -62,22 +53,17 @@ from repro.cfg.instructions import (
     OP_SHR,
     OP_SUB,
     OP_XOR,
-    STORE,
-    UN,
     UNOPS,
 )
 from repro.lang.builtins_spec import BUILTIN_CODES
-from repro.runtime import traps
 from repro.runtime.interpreter import (
-    CMPLOG_CAP,
     DEFAULT_CALL_DEPTH,
     DEFAULT_INSTR_BUDGET,
-    ExecutionResult,
     _c_div,
     _c_mod,
     _Exec,
 )
-from repro.runtime.traps import Timeout, Trap
+from repro.runtime.shadow import ShadowExec, opaque
 from repro.runtime.values import ArrayRef, wrap_int
 
 # Expression nodes beyond this size degrade to concrete (None): huge
@@ -710,8 +696,8 @@ def extract_path_condition(
     return vm.run(data)
 
 
-class ConcolicExec(_Exec):
-    """Shadow interpreter: concrete semantics + symbolic byte expressions."""
+class ConcolicExec(ShadowExec):
+    """Shadow domain: concrete semantics + symbolic byte expressions."""
 
     def __init__(
         self,
@@ -719,369 +705,72 @@ class ConcolicExec(_Exec):
         instrumentation,
         instr_budget=DEFAULT_INSTR_BUDGET,
         call_depth_limit=DEFAULT_CALL_DEPTH,
-        cmplog=False,
         sym_bytes=None,
         max_constraints=MAX_CONSTRAINTS,
     ):
-        super().__init__(
-            program, instrumentation, instr_budget, call_depth_limit, cmplog
-        )
+        super().__init__(program, instrumentation, instr_budget, call_depth_limit, False)
         self._sym_bytes = None if sym_bytes is None else set(sym_bytes)
-        self._scells = {}  # array_id -> list of shadow cell expressions
         self._constraints = []
         self._max_constraints = max_constraints
         self._truncated = False
-        self._sret = None  # expression of the last finished call's result
 
-    def run(self, input_bytes):
-        input_ref = self._heap.alloc(len(input_bytes))
-        storage = self._heap.storage(input_ref)
-        storage[: len(input_bytes)] = input_bytes
+    # -- domain hooks ----------------------------------------------------------
+
+    def _sh_input_cells(self, n):
         allowed = self._sym_bytes
-        self._scells[input_ref.array_id] = [
+        return [
             byte_expr(i) if allowed is None or i in allowed else None
-            for i in range(len(input_bytes))
+            for i in range(n)
         ]
-        retval, trap, timeout = 0, None, False
-        try:
-            retval = self._call(self._program.main_index, [input_ref], [None])
-        except Trap as caught:
-            trap = caught
-        except Timeout:
-            timeout = True
-        result = ExecutionResult(
-            retval,
-            trap,
-            timeout,
-            self._count,
-            self._probe_acc[0],
-            self._probe_acc[1],
-            self._hits,
-            self._cmp_log,
-        )
-        condition = PathCondition(
-            self._constraints, len(input_bytes), self._truncated
-        )
-        return result, condition
 
-    def _cells_for_write(self, array_id):
-        cells = self._scells.get(array_id)
-        if cells is None:
-            cells = self._scells[array_id] = [None] * len(
-                self._heap._arrays[array_id]
-            )
-        return cells
+    def _sh_finish(self, n):
+        return PathCondition(self._constraints, n, self._truncated)
 
-    def _record(self, fname, cur, taken_dst, taken_true, expr):
+    def _sh_bin(self, binop, sa, sb, a, b):
+        return make_bin(
+            binop,
+            sa if sa is not None else a,
+            sb if sb is not None else b,
+        )
+
+    def _sh_un(self, unop, sa):
+        return make_un(unop, sa)
+
+    def _sh_steer(self, sb):
+        pass  # a symbolic divisor or shift amount constrains nothing here
+
+    def _sh_load(self, cell, sarr, sidx):
+        # Symbolically-indexed load: which cell is read depends on input
+        # bytes — outside the language.
+        return None if sidx is not None else cell
+
+    def _sh_indexed_store(self, arr, idx, sidx, ssrc):
+        # A symbolically-indexed write could land in any cell under other
+        # inputs: every expression for this array is now stale.
+        self._cells[arr.array_id] = [None] * len(self._heap.storage(arr))
+
+    def _sh_branch(self, fname, block, taken_dst, taken_true, expr):
         if len(self._constraints) >= self._max_constraints:
             self._truncated = True
             return
         self._constraints.append(
             Constraint(
                 len(self._constraints),
-                (fname, cur),
+                (fname, block),
                 taken_dst,
                 taken_true,
                 expr,
             )
         )
 
-    # -- the mirrored interpreter loop ---------------------------------------
-
-    def _call(self, func_index, args, arg_exprs=None):
-        program = self._program
-        func = program.funcs[func_index]
-        fname = func.name
-        heap = self._heap
-        regs = [0] * func.nregs
-        regs[: len(args)] = args
-        sregs = [None] * func.nregs
-        if arg_exprs:
-            sregs[: len(arg_exprs)] = arg_exprs
-        if self._instr is not None:
-            erows = self._instr.edge_rows[func_index]
-            racts = self._instr.ret_actions[func_index]
-            enacts = self._instr.entry_actions[func_index]
-            mask = self._instr.map_mask
-            if enacts:
-                self._run_actions(enacts, 0, mask)
-        else:
-            erows = racts = None
-            mask = 0
-        pathreg = 0
-        blocks = func.blocks
-        cur = 0
-        budget = self._budget
-        while True:
-            block = blocks[cur]
-            instrs = block.instrs
-            self._count += len(instrs) + 1
-            if self._count > budget:
-                raise Timeout(budget)
-            for ins in instrs:
-                op = ins[0]
-                if op == BIN:
-                    binop = ins[1]
-                    sa = sregs[ins[3]]
-                    sb = sregs[ins[4]]
-                    try:
-                        a = regs[ins[3]]
-                        b = regs[ins[4]]
-                        if binop == OP_EQ:
-                            value = 1 if a == b else 0
-                        elif binop == OP_NE:
-                            value = 1 if a != b else 0
-                        elif binop == OP_ADD:
-                            value = wrap_int(a + b)
-                        elif binop == OP_SUB:
-                            value = wrap_int(a - b)
-                        elif binop == OP_LT:
-                            value = 1 if a < b else 0
-                        elif binop == OP_LE:
-                            value = 1 if a <= b else 0
-                        elif binop == OP_GT:
-                            value = 1 if a > b else 0
-                        elif binop == OP_GE:
-                            value = 1 if a >= b else 0
-                        elif binop == OP_MUL:
-                            value = wrap_int(a * b)
-                        elif binop == OP_AND:
-                            value = a & b
-                        elif binop == OP_OR:
-                            value = a | b
-                        elif binop == OP_XOR:
-                            value = a ^ b
-                        elif binop == OP_DIV:
-                            if b == 0:
-                                self._trap(
-                                    traps.DIV_BY_ZERO,
-                                    fname,
-                                    ins[5],
-                                    "division by zero",
-                                )
-                            value = wrap_int(_c_div(a, b))
-                        elif binop == OP_MOD:
-                            if b == 0:
-                                self._trap(
-                                    traps.DIV_BY_ZERO,
-                                    fname,
-                                    ins[5],
-                                    "modulo by zero",
-                                )
-                            value = wrap_int(_c_mod(a, b))
-                        elif binop == OP_SHL:
-                            if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE,
-                                    fname,
-                                    ins[5],
-                                    "shift by %d" % b,
-                                )
-                            value = wrap_int(a << b)
-                        else:  # OP_SHR
-                            if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE,
-                                    fname,
-                                    ins[5],
-                                    "shift by %d" % b,
-                                )
-                            value = a >> b
-                    except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION,
-                            fname,
-                            ins[5],
-                            "array used as integer",
-                        )
-                    if self._cmplog and binop in COMPARISON_OPS:
-                        if len(self._cmp_log) < CMPLOG_CAP:
-                            self._cmp_log.append((a, b))
-                    regs[ins[2]] = value
-                    if sa is None and sb is None:
-                        sregs[ins[2]] = None
-                    else:
-                        sregs[ins[2]] = make_bin(
-                            binop,
-                            sa if sa is not None else a,
-                            sb if sb is not None else b,
-                        )
-                elif op == CONST:
-                    regs[ins[1]] = ins[2]
-                    sregs[ins[1]] = None
-                elif op == MOV:
-                    regs[ins[1]] = regs[ins[2]]
-                    sregs[ins[1]] = sregs[ins[2]]
-                elif op == LOAD:
-                    arr = regs[ins[2]]
-                    idx = regs[ins[3]]
-                    sidx = sregs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION,
-                            fname,
-                            ins[4],
-                            "indexing a non-array",
-                        )
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_READ,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
-                    regs[ins[1]] = storage[idx]
-                    if sidx is not None:
-                        # Symbolically-indexed load: which cell is read
-                        # depends on input bytes — outside the language.
-                        sregs[ins[1]] = None
-                    else:
-                        cells = self._scells.get(arr.array_id)
-                        sregs[ins[1]] = cells[idx] if cells is not None else None
-                elif op == STORE:
-                    arr = regs[ins[1]]
-                    idx = regs[ins[2]]
-                    sidx = sregs[ins[2]]
-                    ssrc = sregs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION,
-                            fname,
-                            ins[4],
-                            "indexing a non-array",
-                        )
-                    if heap.is_readonly(arr):
-                        self._trap(
-                            traps.READONLY_WRITE,
-                            fname,
-                            ins[4],
-                            "write to constant",
-                        )
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_WRITE,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
-                    storage[idx] = regs[ins[3]]
-                    if sidx is not None:
-                        # A symbolically-indexed write could land in any
-                        # cell under other inputs: every expression for
-                        # this array is now stale.
-                        self._scells[arr.array_id] = [None] * len(storage)
-                    elif ssrc is not None or arr.array_id in self._scells:
-                        self._cells_for_write(arr.array_id)[idx] = ssrc
-                elif op == UN:
-                    unop = ins[1]
-                    a = regs[ins[3]]
-                    sa = sregs[ins[3]]
-                    try:
-                        if unop == OP_NEG:
-                            regs[ins[2]] = wrap_int(-a)
-                        elif unop == OP_LNOT:
-                            regs[ins[2]] = 1 if a == 0 else 0
-                        else:
-                            regs[ins[2]] = wrap_int(~a)
-                    except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, 0, "array in arithmetic"
-                        )
-                    sregs[ins[2]] = None if sa is None else make_un(unop, sa)
-                elif op == CALL:
-                    if len(self._stack) + 1 >= self._depth_limit:
-                        self._trap(
-                            traps.STACK_OVERFLOW,
-                            fname,
-                            ins[4],
-                            "call depth exceeded",
-                        )
-                    self._stack.append((fname, ins[4]))
-                    regs[ins[1]] = self._call(
-                        ins[2],
-                        [regs[r] for r in ins[3]],
-                        [sregs[r] for r in ins[3]],
-                    )
-                    self._stack.pop()
-                    sregs[ins[1]] = self._sret
-                elif op == BUILTIN:
-                    regs[ins[1]], sregs[ins[1]] = self._sym_builtin(
-                        ins[2],
-                        [regs[r] for r in ins[3]],
-                        [sregs[r] for r in ins[3]],
-                        fname,
-                        ins[4],
-                    )
-                else:  # STR
-                    regs[ins[1]] = heap.string_ref(ins[2])
-                    sregs[ins[1]] = None
-            term = block.term
-            top = term[0]
-            if top == BR:
-                cond_expr = sregs[term[1]]
-                taken_true = bool(regs[term[1]])
-                nxt = term[2] if regs[term[1]] else term[3]
-                if cond_expr is not None:
-                    self._record(fname, cur, nxt, taken_true, cond_expr)
-            elif top == JMP:
-                nxt = term[1]
-            else:  # RET
-                if racts is not None:
-                    acts = racts.get(cur)
-                    if acts:
-                        self._run_actions(acts, pathreg, mask)
-                value = term[1]
-                if value == -1:
-                    self._sret = None
-                    return 0
-                self._sret = sregs[value]
-                return regs[value]
-            if erows is not None:
-                row = erows[cur]
-                if row is not None:
-                    acts = row.get(nxt)
-                    if acts:
-                        pathreg = self._run_actions(acts, pathreg, mask)
-            cur = nxt
-
     # -- symbolic builtins ---------------------------------------------------
-
-    def _sym_builtin(self, code, vals, exprs, fname, line):
-        """Run a builtin with base-VM semantics, returning (value, expr)."""
-        handler = _SYM_BUILTINS[code]
-        return handler(self, vals, exprs, fname, line)
-
-    def _sb_copy(self, vals, exprs, fname, line):
-        value = self._bi_copy(vals, fname, line)
-        dst, doff, src, soff, n = vals
-        src_cells = self._scells.get(src.array_id)
-        if src_cells is not None:
-            window = list(src_cells[soff : soff + n])  # dst may alias src
-        else:
-            window = None
-        if window is not None or dst.array_id in self._scells:
-            cells = self._cells_for_write(dst.array_id)
-            cells[doff : doff + n] = (
-                window if window is not None else [None] * n
-            )
-        return value, None
-
-    def _sb_fill(self, vals, exprs, fname, line):
-        value = self._bi_fill(vals, fname, line)
-        ref, off, n, _fill_value = vals
-        if exprs[3] is not None or ref.array_id in self._scells:
-            cells = self._cells_for_write(ref.array_id)
-            cells[off : off + n] = [exprs[3]] * n
-        return value, None
 
     def _sb_read(self, vals, exprs, fname, line, width, big_endian, reader):
         value = reader(self, vals, fname, line)
         ref, off = vals[0], vals[1]
         if exprs[1] is not None:
             return value, None  # symbolic offset: window is input-dependent
-        cells = self._scells.get(ref.array_id)
+        cells = self._cells.get(ref.array_id)
         if cells is None:
             return value, None
         storage = self._heap.storage(ref)
@@ -1130,27 +819,18 @@ class ConcolicExec(_Exec):
         )
 
 
-def _opaque(base):
-    """A builtin wrapper that runs base semantics and drops expressions."""
-
-    def run(self, vals, exprs, fname, line):
-        return base(self, vals, fname, line), None
-
-    return run
-
-
-_SYM_BUILTINS = {
-    BUILTIN_CODES["alloc"]: _opaque(_Exec._bi_alloc),
-    BUILTIN_CODES["len"]: _opaque(_Exec._bi_len),
-    BUILTIN_CODES["abs"]: _opaque(_Exec._bi_abs),
-    BUILTIN_CODES["min"]: _opaque(_Exec._bi_min),
-    BUILTIN_CODES["max"]: _opaque(_Exec._bi_max),
-    BUILTIN_CODES["memcmp"]: _opaque(_Exec._bi_memcmp),
-    BUILTIN_CODES["copy"]: ConcolicExec._sb_copy,
-    BUILTIN_CODES["fill"]: ConcolicExec._sb_fill,
+ConcolicExec._SH_BUILTINS = {
+    BUILTIN_CODES["alloc"]: opaque(_Exec._bi_alloc),
+    BUILTIN_CODES["len"]: opaque(_Exec._bi_len),
+    BUILTIN_CODES["abs"]: opaque(_Exec._bi_abs),
+    BUILTIN_CODES["min"]: opaque(_Exec._bi_min),
+    BUILTIN_CODES["max"]: opaque(_Exec._bi_max),
+    BUILTIN_CODES["memcmp"]: opaque(_Exec._bi_memcmp),
+    BUILTIN_CODES["copy"]: ShadowExec._sh_copy,
+    BUILTIN_CODES["fill"]: ShadowExec._sh_fill,
     BUILTIN_CODES["read16"]: ConcolicExec._sb_read16,
     BUILTIN_CODES["read32"]: ConcolicExec._sb_read32,
     BUILTIN_CODES["read16le"]: ConcolicExec._sb_read16le,
     BUILTIN_CODES["read32le"]: ConcolicExec._sb_read32le,
-    BUILTIN_CODES["trap"]: _opaque(_Exec._bi_trap),
+    BUILTIN_CODES["trap"]: opaque(_Exec._bi_trap),
 }

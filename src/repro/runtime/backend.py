@@ -71,8 +71,9 @@ class Backend:
     def taint_execute(self, data, **kwargs):
         """Run ``data`` under taint tracking; returns (result, TaintMap).
 
-        The taint semantics live in the reference interpreter only
-        (:mod:`repro.taint.track`); the compiled backend *transparently
+        The taint semantics live only in the interpreted shadow loop
+        (:mod:`repro.runtime.shadow`, with the label-union domain of
+        :mod:`repro.taint.track`); the compiled backend *transparently
         falls back* to it for taint runs — the fallback contract of DESIGN
         §12.  The taint interpreter's observables are bit-identical to the
         plain interpreter's, and probe pruning never applies here (taint

@@ -1,9 +1,10 @@
 """Dynamic taint tracking: byte-level input provenance for targeted mutation.
 
 The taint subsystem is the layer between execution and search that the
-blind-havoc loop lacks: it runs a test case under a *shadow* interpreter
-(:mod:`repro.taint.track`) that propagates, for every runtime value, the set
-of input byte offsets that influenced it.  Three artifacts come out:
+blind-havoc loop lacks: it runs a test case under the shared *shadow*
+interpreter loop (:mod:`repro.runtime.shadow`) with the label-union domain
+of :mod:`repro.taint.track`, which propagates, for every runtime value, the
+set of input byte offsets that influenced it.  Three artifacts come out:
 
 - a :class:`~repro.taint.map.TaintMap` recording, per comparison site, which
   input bytes flow into each operand (plus a control-taint summary that
@@ -17,7 +18,7 @@ of input byte offsets that influenced it.  Three artifacts come out:
 
 Enable per-campaign with ``EngineConfig(use_taint=True)`` or globally with
 the ``REPRO_TAINT`` environment variable (``1``/``true``/``on``/``yes``).
-The taint interpreter is the reference semantics; the compiled backend
+The shadow loop is the reference taint semantics; the compiled backend
 transparently falls back to it for taint runs (see
 :meth:`repro.runtime.backend.Backend.taint_execute`).
 """

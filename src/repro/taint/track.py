@@ -1,12 +1,13 @@
-"""TaintExec: the shadow interpreter that tracks byte-level input provenance.
+"""TaintExec: the shadow domain that tracks byte-level input provenance.
 
-:class:`TaintExec` subclasses the VM's ``_Exec`` and re-runs the interpreter
-loop with a *shadow register file* of taint labels alongside the concrete
-one.  The mirroring contract is strict — same instruction counting, same
-probe accounting, same traps, same cmplog — so a taint run's
-:class:`~repro.runtime.interpreter.ExecutionResult` is bit-identical to the
-plain interpreter's (the ``test_taint.py`` equivalence tests pin this).  The
-only additions are shadow operations feeding a :class:`~repro.taint.map.TaintMap`.
+:class:`TaintExec` is the label-union domain of the shared shadow loop
+(:class:`repro.runtime.shadow.ShadowExec`): every register carries a taint
+label beside its concrete value.  The loop mirrors the plain interpreter —
+same instruction counting, probe accounting, traps and cmplog — so a taint
+run's :class:`~repro.runtime.interpreter.ExecutionResult` is bit-identical
+to the plain interpreter's (the ``test_taint.py`` equivalence tests pin
+this).  The domain adds only shadow operations feeding a
+:class:`~repro.taint.map.TaintMap`.
 
 Propagation rules (DESIGN §12):
 
@@ -23,56 +24,11 @@ Propagation rules (DESIGN §12):
   offsets/lengths, trap codes.  It over-approximates implicit flows: any
   byte *not* in ``ctl`` provably cannot change the execution path, which is
   the induction that makes ``TaintMap.sound_mask`` sound.
-
-The one structural difference from the base loop: edge probe actions run
-through the out-of-line ``_run_actions`` helper instead of the inlined hot
-path.  The two are accounting-identical by construction; the inline copy
-exists in ``_Exec`` purely for speed.
 """
 
-from repro.cfg.instructions import (
-    BIN,
-    BR,
-    BUILTIN,
-    CALL,
-    COMPARISON_OPS,
-    CONST,
-    JMP,
-    LOAD,
-    MOV,
-    OP_ADD,
-    OP_AND,
-    OP_DIV,
-    OP_EQ,
-    OP_GE,
-    OP_GT,
-    OP_LE,
-    OP_LT,
-    OP_MOD,
-    OP_MUL,
-    OP_NE,
-    OP_OR,
-    OP_SHL,
-    OP_SUB,
-    OP_XOR,
-    OP_LNOT,
-    OP_NEG,
-    STORE,
-    UN,
-)
 from repro.lang.builtins_spec import BUILTIN_CODES
-from repro.runtime import traps
-from repro.runtime.interpreter import (
-    CMPLOG_CAP,
-    DEFAULT_CALL_DEPTH,
-    DEFAULT_INSTR_BUDGET,
-    ExecutionResult,
-    _c_div,
-    _c_mod,
-    _Exec,
-)
-from repro.runtime.traps import Timeout, Trap
-from repro.runtime.values import ArrayRef, wrap_int
+from repro.runtime.interpreter import DEFAULT_CALL_DEPTH, DEFAULT_INSTR_BUDGET, _Exec
+from repro.runtime.shadow import ShadowExec
 from repro.taint.labels import LabelPool
 from repro.taint.map import TaintMap
 
@@ -96,8 +52,11 @@ def taint_execute(
     return vm.run(input_bytes)
 
 
-class TaintExec(_Exec):
-    """Shadow interpreter: concrete semantics of ``_Exec`` + taint labels."""
+class TaintExec(ShadowExec):
+    """Shadow domain: concrete semantics of ``_Exec`` + taint labels."""
+
+    # The branch trail records every conditional branch, clean ones too.
+    _SH_CLEAN_BRANCHES = True
 
     def __init__(
         self,
@@ -111,287 +70,54 @@ class TaintExec(_Exec):
         super().__init__(program, instrumentation, instr_budget, call_depth_limit, cmplog)
         self._pool = LabelPool()
         self._tmap = TaintMap(pair_cap=pair_cap)
-        self._tcells = {}  # array_id -> list of shadow cell labels (lazy)
+        self._sh_cmp = self._tmap.record_cmp
         self._tlen = {}  # array_id -> label of a tainted alloc size
         self._ctl = None  # monotone control-taint accumulator
-        self._tret = None  # return-value label of the last finished call
 
-    def run(self, input_bytes):
-        input_ref = self._heap.alloc(len(input_bytes))
-        storage = self._heap.storage(input_ref)
-        storage[: len(input_bytes)] = input_bytes
+    # -- domain hooks ----------------------------------------------------------
+
+    def _sh_input_cells(self, n):
         single = self._pool.single
-        self._tcells[input_ref.array_id] = [single(i) for i in range(len(input_bytes))]
-        retval, trap, timeout = 0, None, False
-        try:
-            retval = self._call(self._program.main_index, [input_ref], [None])
-        except Trap as caught:
-            trap = caught
-        except Timeout:
-            timeout = True
-        self._tmap.finalize(self._ctl, len(input_bytes))
-        result = ExecutionResult(
-            retval,
-            trap,
-            timeout,
-            self._count,
-            self._probe_acc[0],
-            self._probe_acc[1],
-            self._hits,
-            self._cmp_log,
-        )
-        return result, self._tmap
+        return [single(i) for i in range(n)]
 
-    # -- shadow-cell helpers -------------------------------------------------
+    def _sh_finish(self, n):
+        self._tmap.finalize(self._ctl, n)
+        return self._tmap
 
-    def _cells_for_write(self, array_id):
-        """Materialized shadow cell list for an array (lazily, on first write)."""
-        cells = self._tcells.get(array_id)
-        if cells is None:
-            cells = self._tcells[array_id] = [None] * len(self._heap._arrays[array_id])
-        return cells
+    def _sh_bin(self, binop, la, lb, a, b):
+        return self._pool.union(la, lb)
 
-    def _bounds_taint(self, arr):
-        """Label guarding an array's bounds (tainted alloc size, if any)."""
-        return self._tlen.get(arr.array_id)
+    def _sh_un(self, unop, la):
+        return la
 
-    # -- the mirrored interpreter loop ---------------------------------------
+    def _sh_steer(self, lb):
+        self._ctl = self._pool.union(self._ctl, lb)
 
-    def _call(self, func_index, args, arg_labels=None):
-        program = self._program
-        func = program.funcs[func_index]
-        fname = func.name
-        heap = self._heap
-        pool = self._pool
-        union = pool.union
-        tmap = self._tmap
-        regs = [0] * func.nregs
-        regs[: len(args)] = args
-        tregs = [None] * func.nregs
-        if arg_labels:
-            tregs[: len(arg_labels)] = arg_labels
-        if self._instr is not None:
-            erows = self._instr.edge_rows[func_index]
-            racts = self._instr.ret_actions[func_index]
-            enacts = self._instr.entry_actions[func_index]
-            mask = self._instr.map_mask
-            if enacts:
-                self._run_actions(enacts, 0, mask)
-        else:
-            erows = racts = None
-            mask = 0
-        pathreg = 0
-        blocks = func.blocks
-        cur = 0
-        budget = self._budget
-        while True:
-            block = blocks[cur]
-            instrs = block.instrs
-            self._count += len(instrs) + 1
-            if self._count > budget:
-                raise Timeout(budget)
-            for ins in instrs:
-                op = ins[0]
-                if op == BIN:
-                    binop = ins[1]
-                    la = tregs[ins[3]]
-                    lb = tregs[ins[4]]
-                    try:
-                        a = regs[ins[3]]
-                        b = regs[ins[4]]
-                        if binop == OP_EQ:
-                            value = 1 if a == b else 0
-                        elif binop == OP_NE:
-                            value = 1 if a != b else 0
-                        elif binop == OP_ADD:
-                            value = wrap_int(a + b)
-                        elif binop == OP_SUB:
-                            value = wrap_int(a - b)
-                        elif binop == OP_LT:
-                            value = 1 if a < b else 0
-                        elif binop == OP_LE:
-                            value = 1 if a <= b else 0
-                        elif binop == OP_GT:
-                            value = 1 if a > b else 0
-                        elif binop == OP_GE:
-                            value = 1 if a >= b else 0
-                        elif binop == OP_MUL:
-                            value = wrap_int(a * b)
-                        elif binop == OP_AND:
-                            value = a & b
-                        elif binop == OP_OR:
-                            value = a | b
-                        elif binop == OP_XOR:
-                            value = a ^ b
-                        elif binop == OP_DIV:
-                            self._ctl = union(self._ctl, lb)
-                            if b == 0:
-                                self._trap(traps.DIV_BY_ZERO, fname, ins[5], "division by zero")
-                            value = wrap_int(_c_div(a, b))
-                        elif binop == OP_MOD:
-                            self._ctl = union(self._ctl, lb)
-                            if b == 0:
-                                self._trap(traps.DIV_BY_ZERO, fname, ins[5], "modulo by zero")
-                            value = wrap_int(_c_mod(a, b))
-                        elif binop == OP_SHL:
-                            self._ctl = union(self._ctl, lb)
-                            if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE, fname, ins[5], "shift by %d" % b
-                                )
-                            value = wrap_int(a << b)
-                        else:  # OP_SHR
-                            self._ctl = union(self._ctl, lb)
-                            if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE, fname, ins[5], "shift by %d" % b
-                                )
-                            value = a >> b
-                    except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[5], "array used as integer"
-                        )
-                    if binop in COMPARISON_OPS:
-                        if self._cmplog and len(self._cmp_log) < CMPLOG_CAP:
-                            self._cmp_log.append((a, b))
-                        tmap.record_cmp((fname, ins[5], binop), la, lb, a, b)
-                    regs[ins[2]] = value
-                    tregs[ins[2]] = union(la, lb)
-                elif op == CONST:
-                    regs[ins[1]] = ins[2]
-                    tregs[ins[1]] = None
-                elif op == MOV:
-                    regs[ins[1]] = regs[ins[2]]
-                    tregs[ins[1]] = tregs[ins[2]]
-                elif op == LOAD:
-                    arr = regs[ins[2]]
-                    idx = regs[ins[3]]
-                    larr = tregs[ins[2]]
-                    lidx = tregs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
-                    # Index, ref identity, and bounds steer whether we trap.
-                    self._ctl = union(
-                        union(self._ctl, lidx), union(larr, self._bounds_taint(arr))
-                    )
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_READ,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
-                    cells = self._tcells.get(arr.array_id)
-                    cell = cells[idx] if cells is not None else None
-                    regs[ins[1]] = storage[idx]
-                    tregs[ins[1]] = union(cell, union(lidx, larr))
-                elif op == STORE:
-                    arr = regs[ins[1]]
-                    idx = regs[ins[2]]
-                    larr = tregs[ins[1]]
-                    lidx = tregs[ins[2]]
-                    lsrc = tregs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
-                    if heap.is_readonly(arr):
-                        self._trap(
-                            traps.READONLY_WRITE, fname, ins[4], "write to constant"
-                        )
-                    self._ctl = union(
-                        union(self._ctl, lidx), union(larr, self._bounds_taint(arr))
-                    )
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_WRITE,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
-                    storage[idx] = regs[ins[3]]
-                    if lsrc is not None or arr.array_id in self._tcells:
-                        self._cells_for_write(arr.array_id)[idx] = lsrc
-                elif op == UN:
-                    unop = ins[1]
-                    a = regs[ins[3]]
-                    try:
-                        if unop == OP_NEG:
-                            regs[ins[2]] = wrap_int(-a)
-                        elif unop == OP_LNOT:
-                            regs[ins[2]] = 1 if a == 0 else 0
-                        else:
-                            regs[ins[2]] = wrap_int(~a)
-                    except TypeError:
-                        self._trap(traps.TYPE_CONFUSION, fname, 0, "array in arithmetic")
-                    tregs[ins[2]] = tregs[ins[3]]
-                elif op == CALL:
-                    if len(self._stack) + 1 >= self._depth_limit:
-                        self._trap(
-                            traps.STACK_OVERFLOW, fname, ins[4], "call depth exceeded"
-                        )
-                    self._stack.append((fname, ins[4]))
-                    regs[ins[1]] = self._call(
-                        ins[2],
-                        [regs[r] for r in ins[3]],
-                        [tregs[r] for r in ins[3]],
-                    )
-                    self._stack.pop()
-                    tregs[ins[1]] = self._tret
-                elif op == BUILTIN:
-                    regs[ins[1]], tregs[ins[1]] = self._taint_builtin(
-                        ins[2],
-                        [regs[r] for r in ins[3]],
-                        [tregs[r] for r in ins[3]],
-                        fname,
-                        ins[4],
-                    )
-                else:  # STR
-                    regs[ins[1]] = heap.string_ref(ins[2])
-                    tregs[ins[1]] = None
-            term = block.term
-            top = term[0]
-            if top == BR:
-                cond_label = tregs[term[1]]
-                nxt = term[2] if regs[term[1]] else term[3]
-                self._ctl = union(self._ctl, cond_label)
-                tmap.record_branch((fname, cur), nxt, cond_label)
-            elif top == JMP:
-                nxt = term[1]
-            else:  # RET
-                if racts is not None:
-                    acts = racts.get(cur)
-                    if acts:
-                        self._run_actions(acts, pathreg, mask)
-                value = term[1]
-                if value == -1:
-                    self._tret = None
-                    return 0
-                self._tret = tregs[value]
-                return regs[value]
-            if erows is not None:
-                row = erows[cur]
-                if row is not None:
-                    acts = row.get(nxt)
-                    if acts:
-                        pathreg = self._run_actions(acts, pathreg, mask)
-            cur = nxt
+    def _sh_access(self, arr, larr, lidx):
+        # Index, ref identity, and bounds steer whether we trap.
+        lsize = self._tlen.get(arr.array_id)
+        if lidx is not None or larr is not None or lsize is not None:
+            union = self._pool.union
+            self._ctl = union(union(self._ctl, lidx), union(larr, lsize))
+
+    def _sh_load(self, cell, larr, lidx):
+        union = self._pool.union
+        return union(cell, union(lidx, larr))
+
+    def _sh_indexed_store(self, arr, idx, lidx, lsrc):
+        # The index label went to ``ctl`` in ``_sh_access``.
+        if lsrc is not None or arr.array_id in self._cells:
+            self._cells_for_write(arr.array_id)[idx] = lsrc
+
+    def _sh_branch(self, fname, block, taken_dst, taken_true, cond_label):
+        self._ctl = self._pool.union(self._ctl, cond_label)
+        self._tmap.record_branch((fname, block), taken_dst, cond_label)
 
     # -- taint-aware builtins --------------------------------------------------
-
-    def _taint_builtin(self, code, vals, labels, fname, line):
-        """Run a builtin with base-VM semantics, returning (value, label).
-
-        Each wrapper delegates to the base ``_bi_*`` method for the concrete
-        value — identical traps, virtual-time charges, and cmplog — then
-        computes the result label and any shadow-memory side effects.
-        """
-        handler = _TAINT_BUILTINS[code]
-        return handler(self, vals, labels, fname, line)
+    #
+    # Each wrapper delegates to the base ``_bi_*`` method for the concrete
+    # value — identical traps, virtual-time charges, and cmplog — then
+    # computes the result label and any shadow-memory side effects.
 
     def _tb_alloc(self, vals, labels, fname, line):
         self._ctl = self._pool.union(self._ctl, labels[0])
@@ -418,7 +144,7 @@ class TaintExec(_Exec):
         """Join of the shadow labels of ``ref[off:off+n]`` plus the ref's own."""
         union = self._pool.union
         out = union(ref_label, self._tlen.get(ref.array_id))
-        cells = self._tcells.get(ref.array_id)
+        cells = self._cells.get(ref.array_id)
         if cells is not None:
             for label in cells[off : off + n]:
                 out = union(out, label)
@@ -442,28 +168,12 @@ class TaintExec(_Exec):
     def _tb_copy(self, vals, labels, fname, line):
         union = self._pool.union
         self._ctl = union(union(self._ctl, labels[1]), union(labels[3], labels[4]))
-        value = self._bi_copy(vals, fname, line)
-        dst, doff, src, soff, n = vals
-        src_cells = self._tcells.get(src.array_id)
-        if src_cells is not None:
-            # Capture the source slice first: dst may alias src (memmove).
-            window = list(src_cells[soff : soff + n])
-        else:
-            window = None
-        if window is not None or dst.array_id in self._tcells:
-            cells = self._cells_for_write(dst.array_id)
-            cells[doff : doff + n] = window if window is not None else [None] * n
-        return value, None
+        return self._sh_copy(vals, labels, fname, line)
 
     def _tb_fill(self, vals, labels, fname, line):
         union = self._pool.union
         self._ctl = union(union(self._ctl, labels[1]), labels[2])
-        value = self._bi_fill(vals, fname, line)
-        ref, off, n, _fill_value = vals
-        if labels[3] is not None or ref.array_id in self._tcells:
-            cells = self._cells_for_write(ref.array_id)
-            cells[off : off + n] = [labels[3]] * n
-        return value, None
+        return self._sh_fill(vals, labels, fname, line)
 
     def _tb_read(self, vals, labels, fname, line, width, reader):
         self._ctl = self._pool.union(self._ctl, labels[1])
@@ -487,7 +197,7 @@ class TaintExec(_Exec):
         return self._bi_trap(vals, fname, line), None
 
 
-_TAINT_BUILTINS = {
+TaintExec._SH_BUILTINS = {
     BUILTIN_CODES["alloc"]: TaintExec._tb_alloc,
     BUILTIN_CODES["len"]: TaintExec._tb_len,
     BUILTIN_CODES["abs"]: TaintExec._tb_abs,
